@@ -10,9 +10,10 @@ Everything here *observes* runs — none of it participates in them:
   data items are readable / writable in which partition, accounting for
   both factors of §1 (locks held by blocked transactions, and the
   voting partition-processing strategy).
-* :mod:`repro.analysis.consistency` — atomic-commitment checking over
-  traces (no mixed commit/abort, no per-site conflicts, no illegal
-  Fig. 6 transitions, Lemma 1/2 conformance).
+* :mod:`repro.analysis.consistency` — the atomic-commitment verdict
+  (no mixed commit/abort, no per-site conflicts, no illegal Fig. 6
+  transitions, Lemma 1/2 conformance) and its trace-side oracle; runs
+  take the verdict from the cluster's decision ledger.
 """
 
 from repro.analysis.availability import AvailabilityReport, ItemAvailability

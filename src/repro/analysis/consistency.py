@@ -1,9 +1,15 @@
-"""Atomic-commitment checking over run traces (S18).
+"""Atomic-commitment verdicts (S18), and their trace-side oracle.
 
-The checker reads the flight recorder, never protocol internals, so it
+:class:`ConsistencyReport` is the verdict shape every run reports.
+Runs get it from the cluster's decision ledger
+(:meth:`Cluster.outcome <repro.db.cluster.Cluster.outcome>`, backed by
+:class:`~repro.protocols.ledger.DecisionLedger`), which the engines
+write at decision time.  :func:`check_atomicity` rebuilds the same
+report from an unbounded trace, independently of the ledger; the tests
+compare the two, so a ledger bug cannot hide.  Either way the verdict
 holds for any engine — including the deliberately broken variants used
 in the counterexample experiments, which is the point: Examples 2 and
-3 are *demonstrated* by this checker reporting violations.
+3 are *demonstrated* by verdicts reporting violations.
 
 Checked properties:
 
@@ -72,7 +78,11 @@ def check_atomicity(
     txn: str,
     participants: list[int],
 ) -> ConsistencyReport:
-    """Build the consistency verdict for one transaction.
+    """Rebuild one transaction's consistency verdict from the trace.
+
+    The oracle for the ledger's verdicts; exact only when the tracer
+    kept every ``decision`` / ``decision-conflict`` /
+    ``illegal-transition`` / ``blocked`` record of the run.
 
     Args:
         tracer: the run's trace.

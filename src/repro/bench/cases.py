@@ -105,6 +105,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Tracer
 from repro.storage.wal import WriteAheadLog
+from repro.traffic.engine import SAFETY_COUNTERS, safety_counters
 from repro.workload.generators import random_catalog, random_partition_groups
 
 
@@ -230,6 +231,7 @@ def heavy_workload_trial(
         "protocol_aborted": result.protocol_aborted,
         "blocked": result.blocked,
         "serializable": result.serializable,
+        **safety_counters(result),
         **harvested,
     }
     return {"counters": counters, "timing": {"wall_s": wall}}
@@ -249,7 +251,7 @@ def wan_storm_trial(seed: int, protocol: str, heal: bool) -> dict[str, Any]:
     wall = time.perf_counter() - t0
     counters = {
         "outcome": scenario.outcome,
-        "decided_sites": len(scenario.cluster.tracer.decisions(scenario.txn.txn)),
+        "decided_sites": len(scenario.cluster.ledger.outcomes(scenario.txn.txn)),
         **_cluster_counters(scenario.cluster),
     }
     return {"counters": counters, "timing": {"wall_s": wall}}
@@ -1175,6 +1177,9 @@ def trace_replay_trial(
             "wal_forced",
         ):
             counters[f"{name}_{key}"] = row[key]
+        for key in SAFETY_COUNTERS:
+            if key in row:
+                counters[f"{name}_{key}"] = row[key]
         counters[f"{name}_latency"] = round(row["mean_commit_latency"], 6)
     return {"counters": counters, "timing": {"wall_s": time.perf_counter() - t0}}
 

@@ -2,8 +2,10 @@
 
 :class:`Cluster` wires together every substrate for one simulation run:
 scheduler, tracer, RNG, network, sites (storage + locks + protocol
-engine), failure injection, and the analysis hooks.  All examples,
-tests and benchmarks drive the system through this class.
+engine), failure injection, and the decision ledger that every verdict
+(:meth:`Cluster.outcome`, :meth:`Cluster.committed_history`,
+:meth:`Cluster.live_undecided`) reads.  All examples, tests and
+benchmarks drive the system through this class.
 
 Protocol selection is by name:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.analysis.availability import AvailabilityReport, availability_snapshot
-from repro.analysis.consistency import ConsistencyReport, check_atomicity
+from repro.analysis.consistency import ConsistencyReport
 from repro.common.errors import ConfigurationError, QuorumUnreachableError
 from repro.concurrency.serializability import CommittedTxn
 from repro.common.ids import make_txn_id
@@ -31,6 +33,7 @@ from repro.db.site import Site, SiteHooks
 from repro.db.txn import TxnHandle
 from repro.net.delays import DelayModel
 from repro.net.network import Network
+from repro.protocols.ledger import DecisionLedger
 from repro.protocols.qtp.commit import QTP1Engine, QTP2Engine
 from repro.protocols.qtp.generalized import PrimaryTerminationRule, QTPPrimaryEngine
 from repro.protocols.qtp.quorums import TerminationRule1, TerminationRule2
@@ -86,9 +89,12 @@ class Cluster:
                 each item's lowest-id host).
             enforce_ignore_rules: pass False only to reproduce
                 Example 3's broken variant.
-            tracer: a pre-configured trace recorder (capacity-bounded,
-                ring-buffered, or the legacy ``columnar=False`` store);
-                default: an unbounded columnar :class:`Tracer`.
+            tracer: a pre-configured debug trace recorder
+                (capacity-bounded, ring-buffered, empty, or the legacy
+                ``columnar=False`` store); default: an unbounded
+                columnar :class:`Tracer`.  Verdicts never read it —
+                they come from :attr:`ledger` — so any tracer yields
+                the same outcomes.
         """
         if protocol not in PROTOCOL_NAMES:
             raise ConfigurationError(
@@ -99,6 +105,8 @@ class Cluster:
         self._enforce_ignore_rules = enforce_ignore_rules
         self.scheduler = Scheduler()
         self.tracer = tracer if tracer is not None else Tracer()
+        #: every transaction's verdict facts, written by the engines
+        self.ledger = DecisionLedger()
         self.rng = RngRegistry(seed)
         self.network = Network(self.scheduler, self.tracer, self.rng, delay_model)
         self.sites: dict[int, Site] = {}
@@ -144,6 +152,7 @@ class Cluster:
                 wal=site.wal,
                 catalog=self.catalog,
                 rule=rule,
+                ledger=self.ledger,
                 hooks=SiteHooks(site),
                 enforce_ignore_rules=enforce_ignore_rules,
                 **extra,
@@ -246,8 +255,7 @@ class Cluster:
         """
         history = list(self._readonly_committed)
         for txn, handle in self._txns.items():
-            decisions = set(self.tracer.decisions(txn).values())
-            if "commit" not in decisions:
+            if "commit" not in self.ledger.outcomes(txn).values():
                 continue
             history.append(
                 CommittedTxn(
@@ -439,6 +447,7 @@ class Cluster:
             wal=site.wal,
             catalog=self.catalog,
             rule=rule,
+            ledger=self.ledger,
             hooks=SiteHooks(site),
             enforce_ignore_rules=self._enforce_ignore_rules,
             **extra,
@@ -563,10 +572,9 @@ class Cluster:
         return out
 
     def outcome(self, txn: str) -> ConsistencyReport:
-        """Consistency verdict for one transaction (from the trace)."""
+        """Consistency verdict for one transaction (from the ledger)."""
         handle = self._txns.get(txn)
-        participants = list(handle.participants) if handle else []
-        return check_atomicity(self.tracer, txn, participants)
+        return self.ledger.report(txn, handle.participants if handle else ())
 
     def blocked_map(self) -> dict[int, set[str]]:
         """Per-site undecided transactions (their locks block access)."""
@@ -585,7 +593,7 @@ class Cluster:
         """
         handle = self._txns.get(txn)
         participants = set(handle.participants) if handle else set()
-        decided = set(self.tracer.decisions(txn))
+        decided = self.ledger.outcomes(txn)
         return sorted(
             s
             for s in participants

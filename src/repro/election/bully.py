@@ -16,8 +16,9 @@ the partition heals mid-election (Example 3's scenario).  Safety is the
 termination protocol's job; the election only provides liveness.
 
 ``ElectionMixin`` is mixed into the protocol engines; it expects the
-host class to provide ``node``, ``_records``, a ``_T`` bound, and a
-``_run_termination(txn)`` entry point.
+host class to provide ``node``, ``_records``, a ``_T`` bound, the
+cluster's decision ``ledger``, and a ``_run_termination(txn)`` entry
+point.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class ElectionMixin:
         if record.election_rounds >= MAX_ELECTION_ROUNDS:
             if not record.blocked:
                 record.blocked = True
+                self.ledger.blocked(self.node.node_id, txn)
                 self.node.trace("blocked", txn, reason="election-rounds-exhausted")
             return
         record.election_rounds += 1

@@ -31,6 +31,7 @@ from repro.experiments.workload_study import run_heavy_workload
 from repro.sim.failures import FailurePlan, JoinSite
 from repro.sim.rng import RngRegistry
 from repro.traffic import TrafficEngine
+from repro.traffic.engine import safety_counters
 from repro.workload.generators import (
     memoized_catalog,
     random_catalog,
@@ -51,6 +52,7 @@ def _result_counters(result) -> dict[str, Any]:
         "blocked": result.blocked,
         "reads_committed": result.reads_committed,
         "serializable": result.serializable,
+        **safety_counters(result),
     }
 
 

@@ -100,9 +100,10 @@ def _fold_workload(state, result):
     first and summing after would round differently.
     """
     if state is None:
-        state = [0, 0, 0, 0, 0, True, [], 0]
+        state = [0, 0, 0, 0, 0, True, [], 0, 0, 0, 0]
         # submitted, committed, client_aborted, protocol_aborted,
-        # blocked, serializable, readable samples, reads_committed
+        # blocked, serializable, readable samples, reads_committed,
+        # atomicity_violations, decision_conflicts, illegal_transitions
     value = result.value
     state[0] += value.submitted
     state[1] += value.committed
@@ -112,6 +113,9 @@ def _fold_workload(state, result):
     state[5] &= value.serializable
     state[6].append(value.readable_fraction)
     state[7] += value.reads_committed
+    state[8] += value.atomicity_violations
+    state[9] += value.decision_conflicts
+    state[10] += value.illegal_transitions
     return state
 
 
@@ -130,6 +134,8 @@ def _workload_fold_rows(
         total.client_aborted, total.protocol_aborted = state[2], state[3]
         total.blocked, total.serializable = state[4], state[5]
         total.reads_committed = state[7]
+        total.atomicity_violations, total.decision_conflicts = state[8], state[9]
+        total.illegal_transitions = state[10]
         for readable in state[6]:
             total.readable_fraction += readable / len(state[6])
         rows.append(total)

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.election.bully import ElectionMixin
 from repro.net.message import Message
+from repro.protocols.ledger import DecisionLedger
 from repro.protocols.states import TxnState, can_transition
 from repro.storage.wal import WriteAheadLog
 
@@ -236,6 +237,8 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         wal: WriteAheadLog,
         catalog: "ReplicaCatalog",
         rule: TerminationRule,
+        *,
+        ledger: DecisionLedger,
         hooks: ProtocolHooks | None = None,
         enforce_ignore_rules: bool = True,
     ) -> None:
@@ -246,6 +249,9 @@ class CommitProtocolEngine(ElectionMixin, ABC):
             wal: the site's write-ahead log.
             catalog: the replica catalog (vote oracle).
             rule: termination decision logic for this protocol family.
+            ledger: the cluster's decision ledger; the engine writes
+                every decision, conflict, illegal transition and block
+                to it.
             hooks: database-layer callbacks (default: vote yes, no-op).
             enforce_ignore_rules: when False, participants respond to
                 PREPARE-TO-COMMIT in PA and PREPARE-TO-ABORT in PC —
@@ -253,6 +259,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
                 disable outside that experiment.
         """
         self.node = node
+        self.ledger = ledger
         self.wal = wal
         self.catalog = catalog
         self.rule = rule
@@ -307,6 +314,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         if src == dst:
             return
         if not can_transition(src, dst):
+            self.ledger.illegal_transition(record.txn)
             self.node.trace(
                 "illegal-transition", record.txn, src=src.name, dst=dst.name, via=via
             )
@@ -511,15 +519,16 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         """Terminate the transaction locally (idempotent, irrevocable).
 
         A *conflicting* command (COMMIT after a local ABORT or vice
-        versa) is recorded as a ``decision-conflict`` trace event and
-        otherwise ignored: the first decision stands.  Correct
-        protocols never produce conflicts; the deliberately broken
-        variants of Examples 2 and 3 do, and the analysis layer counts
-        these events as atomicity violations.
+        versa) is recorded as a conflict in the decision ledger (and a
+        ``decision-conflict`` trace event) and otherwise ignored: the
+        first decision stands.  Correct protocols never produce
+        conflicts; the deliberately broken variants of Examples 2 and 3
+        do, and every verdict counts them as atomicity violations.
         """
         wanted = TxnState.C if outcome == "commit" else TxnState.A
         if record.decided:
             if record.state is not wanted:
+                self.ledger.conflict(record.txn)
                 self.node.trace(
                     "decision-conflict",
                     record.txn,
@@ -538,6 +547,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         else:
             self.hooks.apply_abort(record.txn)
         self.node.trace("decision", record.txn, outcome=outcome, via=via)
+        self.ledger.decision(self.node.now, self.site, record.txn, outcome)
 
     # ==========================================================================
     # termination protocol (Figs. 5 and 8; rule-driven)
@@ -759,6 +769,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         record.terminating = False
         record.cancel_timer("watchdog")
         record.cancel_timer("elect-defer-watchdog")
+        self.ledger.blocked(self.site, record.txn)
         self.node.trace("blocked", record.txn, reason="no-quorum")
         reachable = self.node.network.reachable_from(self.site, record.participants)
         self.node.broadcast(reachable, self._m("t.blocked"), record.txn)
@@ -770,6 +781,7 @@ class CommitProtocolEngine(ElectionMixin, ABC):
         record.blocked = True
         record.cancel_timer("watchdog")
         record.cancel_timer("elect-defer-watchdog")
+        self.ledger.blocked(self.site, msg.txn)
         self.node.trace("blocked", msg.txn, reason=f"notice-from-{msg.src}")
 
     # ==========================================================================

@@ -280,6 +280,6 @@ def record_wan_storm(
         counters=harvested["counters"],
         result={
             "outcome": scenario.outcome,
-            "decided_sites": len(scenario.cluster.tracer.decisions(scenario.txn.txn)),
+            "decided_sites": len(scenario.cluster.ledger.outcomes(scenario.txn.txn)),
         },
     )

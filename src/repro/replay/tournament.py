@@ -31,6 +31,7 @@ from repro.engine import (
 )
 from repro.replication.catalog import ItemConfig, ReplicaCatalog
 from repro.replay.artifact import RecordedTrace
+from repro.traffic.engine import safety_counters
 
 #: quorum policies :func:`derive_catalog` can impose.
 QUORUM_POLICIES = ("recorded", "majority", "read-one-write-all")
@@ -286,6 +287,7 @@ def _replay_heavy(trace, cfg, protocol, catalog, plan) -> dict[str, Any]:
         "skipped_ops": workload.skipped_ops,
         "serializable": result.serializable,
         "mean_commit_latency": _mean_commit_latency(cluster, committed),
+        **safety_counters(result),
         **cluster_counters(cluster),
     }
 
@@ -325,6 +327,7 @@ def _replay_open(trace, cfg, protocol, catalog, plan) -> dict[str, Any]:
         "shed_unreachable": result.shed_unreachable,
         "latency_p99": result.latency.get("p99", 0.0),
         "latency_p999": result.latency.get("p999", 0.0),
+        **safety_counters(result),
         **cluster_counters(cluster),
     }
 
@@ -366,11 +369,12 @@ def _replay_wan(trace, cfg, protocol, catalog, plan) -> dict[str, Any]:
         "committed": 1 if outcome == "commit" else 0,
         "client_aborted": 0,
         "protocol_aborted": 1 if outcome == "abort" else 0,
-        "blocked": 1 if outcome not in ("commit", "abort") else 0,
+        "blocked": 1 if outcome == "blocked" else 0,
         "reads_committed": 0,
         "skipped_ops": workload.skipped_ops,
         "serializable": True,
         "mean_commit_latency": _mean_commit_latency(cluster, committed),
+        **({} if scenario.report.atomic else {"atomicity_violations": 1}),
         **cluster_counters(cluster),
     }
 

@@ -2,11 +2,15 @@
 
 Every interesting action (message send/drop/delivery, state transition,
 quorum evaluation, decision, crash, election) is appended to a
-:class:`Tracer` as a :class:`TraceRecord`.  The analysis layer, the
-tests and the experiment harness all *read the trace* rather than
-poking protocol internals, which keeps the protocols honest: a claim
-like "no partition aborted after a commit quorum formed" is checked
-against the recorded history of the run.
+:class:`Tracer` as a :class:`TraceRecord`.  The trace is the debug
+recorder and the tests' oracle, not the source of verdicts: a run's
+outcomes, committed history and blocked sites come from the cluster's
+:class:`~repro.protocols.ledger.DecisionLedger`, which the protocol
+engines write at decision time, so a bounded, ring-buffered or empty
+trace changes no verdict.  The tests re-derive each verdict from an
+unbounded trace (:func:`~repro.analysis.consistency.check_atomicity`)
+and compare, which keeps the ledger honest; message-sequence charts,
+transition audits and termination timelines read the trace directly.
 
 Hot-path notes: the tracer sits on every delivered message, so the
 default store is **columnar** — parallel arrays for time / site /

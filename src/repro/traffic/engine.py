@@ -64,6 +64,13 @@ class WorkloadResult:
     #: read-only transactions that committed on the client-side fast
     #: path (only nonzero for specs with a read fraction).
     reads_committed: int = 0
+    #: safety counters from the decision ledger: transactions with a
+    #: mixed commit/abort or a conflicting decision (never folded into
+    #: ``blocked``), and the summed per-site conflicts and Fig. 6
+    #: illegal transitions.  Correct protocols keep all three at zero.
+    atomicity_violations: int = 0
+    decision_conflicts: int = 0
+    illegal_transitions: int = 0
 
     def format_row(self) -> str:
         """One aligned summary line for study tables."""
@@ -75,6 +82,18 @@ class WorkloadResult:
         )
 
 
+SAFETY_COUNTERS = ("atomicity_violations", "decision_conflicts", "illegal_transitions")
+
+
+def safety_counters(result: Any) -> dict[str, int]:
+    """A result's nonzero :data:`SAFETY_COUNTERS`, in order.
+
+    Zero counters are left out (the ``unreachable_origin`` convention),
+    so the payloads of violation-free runs stay byte-stable.
+    """
+    return {key: value for key in SAFETY_COUNTERS if (value := getattr(result, key))}
+
+
 def tally_stream(
     protocol: str,
     cluster: "Cluster",
@@ -84,11 +103,17 @@ def tally_stream(
 ) -> WorkloadResult:
     """Resolve submitted handles against protocol verdicts and tally.
 
+    A report that is not atomic — a mixed commit/abort outcome or a
+    conflicting decision — counts as an atomicity violation; a mixed
+    one is tallied nowhere else (neither committed, aborted nor
+    blocked).
+
     ``probe`` runs after the verdict loop, just before the result is
     assembled — the historical hook position, preserved so harvested
     counters are byte-identical to the pre-split driver.
     """
     committed = protocol_aborted = blocked = 0
+    violations = conflicts = illegal = 0
     for txn in handles:
         report = cluster.outcome(txn)
         outcome = report.outcome
@@ -96,8 +121,11 @@ def tally_stream(
             committed += 1
         elif outcome == "abort":
             protocol_aborted += 1
-        else:
+        elif outcome == "blocked":
             blocked += 1
+        violations += not report.atomic
+        conflicts += report.conflicts
+        illegal += report.illegal_transitions
         outcomes[txn] = outcome
     client_aborted = sum(1 for o in outcomes.values() if o == "client-aborted")
     reads_committed = sum(1 for o in outcomes.values() if o == "read-committed")
@@ -116,6 +144,9 @@ def tally_stream(
         readable_fraction=cluster.availability().readable_fraction,
         txn_outcomes=outcomes,
         reads_committed=reads_committed,
+        atomicity_violations=violations,
+        decision_conflicts=conflicts,
+        illegal_transitions=illegal,
     )
 
 

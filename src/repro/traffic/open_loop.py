@@ -21,7 +21,12 @@ way on the virtual clock:
   protocol decision minus submit time) folds into a fixed-size
   :class:`~repro.engine.aggregate.QuantileDigest`; no per-op lists,
   so memory is constant in the offered load and the p50/p99/p999
-  estimates are a pure function of the folded multiset.  Read-only
+  estimates are a pure function of the folded multiset.  Latencies
+  are retired by push: the run subscribes to the cluster's
+  :class:`~repro.protocols.ledger.DecisionLedger`, and each in-flight
+  transaction leaves its origin's window and folds its latency inside
+  the event that records its first decision — nothing polls the
+  trace, and the trace's size or absence changes nothing.  Read-only
   fast-path commits and client-side aborts complete synchronously on
   the virtual clock (zero latency) and are tallied, not folded.
 * **throughput-ceiling discovery** — :func:`ramp` steps the arrival
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.aggregate import QuantileDigest
-from repro.traffic.engine import TrafficEngine, tally_stream
+from repro.traffic.engine import TrafficEngine, safety_counters, tally_stream
 
 #: default per-site in-flight window (admission control).
 DEFAULT_WINDOW = 4
@@ -125,6 +130,11 @@ class OpenLoopResult:
     window_final: int | None = None
     window_widened: int = 0
     window_narrowed: int = 0
+    #: safety counters from the decision ledger (see
+    #: :class:`~repro.traffic.engine.WorkloadResult`).
+    atomicity_violations: int = 0
+    decision_conflicts: int = 0
+    illegal_transitions: int = 0
 
     @property
     def sustained_throughput(self) -> float:
@@ -167,6 +177,7 @@ class OpenLoopResult:
             out["window_final"] = self.window_final
             out["window_widened"] = self.window_widened
             out["window_narrowed"] = self.window_narrowed
+        out.update(safety_counters(self))
         return out
 
     def format_row(self) -> str:
@@ -240,10 +251,10 @@ def run_open_loop(
     deadline = spec.start + duration
 
     digest = QuantileDigest(0.0, latency_hi, bins)
-    #: origin -> {txn: submit_time}; dicts, not sets, so retirement
-    #: iterates in insertion order (hash order would leak into the
-    #: digest's min/max fold and break run-to-run determinism).
-    in_flight: dict[int, dict[str, float]] = {}
+    #: txn -> (origin, submit time) for every undecided admitted update
+    in_flight: dict[str, tuple[int, float]] = {}
+    #: origin -> its in-flight count (the admission window's occupancy)
+    occupancy: dict[int, int] = {}
     counters = {"offered": 0, "admitted": 0, "shed_backpressure": 0, "shed_unreachable": 0}
     #: the live admission window — a one-cell box so the arrival
     #: closure and the adaptive controller share it.  Without an
@@ -252,37 +263,30 @@ def run_open_loop(
     window_box = {"window": min(max(window, adapt.low), adapt.high) if adapt else window}
     adaptive = {"widened": 0, "narrowed": 0}
 
-    tracer = cluster.tracer
+    def retire(txn: str, decided_at: float) -> None:
+        """Fold an in-flight txn's latency the moment it first decides."""
+        entry = in_flight.pop(txn, None)
+        if entry is not None:
+            origin, submitted = entry
+            occupancy[origin] -= 1
+            digest.add(decided_at - submitted)
 
-    def retire_decided() -> None:
-        """Fold the latency of every in-flight txn that has decided."""
-        for origin, pending in in_flight.items():
-            done = [
-                (txn, records)
-                for txn, records in (
-                    (txn, tracer.where(category="decision", txn=txn))
-                    for txn in pending
-                )
-                if records
-            ]
-            for txn, records in done:
-                decided_at = min(record.time for record in records)
-                digest.add(decided_at - pending.pop(txn))
+    cluster.ledger.subscribe(retire)
 
     def arrive() -> None:
         counters["offered"] += 1
-        retire_decided()
         op = engine.compiled.next_op(rng)
-        pending = in_flight.setdefault(op.origin, {})
-        if op.origin not in cluster.sites or not cluster.sites[op.origin].alive:
+        origin = op.origin
+        if origin not in cluster.sites or not cluster.sites[origin].alive:
             counters["shed_unreachable"] += 1
-        elif len(pending) >= window_box["window"]:
+        elif occupancy.get(origin, 0) >= window_box["window"]:
             counters["shed_backpressure"] += 1
         else:
             counters["admitted"] += 1
             handle = engine._submit_op(op)
             if handle is not None:
-                pending[handle.txn] = scheduler.now
+                in_flight[handle.txn] = (origin, scheduler.now)
+                occupancy[origin] = occupancy.get(origin, 0) + 1
         gap = engine.compiled.next_gap(rng, scheduler.now)
         scheduler.call_fixed_until(scheduler.now + gap, deadline, arrive)
 
@@ -315,8 +319,7 @@ def run_open_loop(
 
     scheduler.call_fixed_until(spec.start, deadline, arrive)
     cluster.run()
-    retire_decided()
-    unresolved = sum(len(pending) for pending in in_flight.values())
+    unresolved = len(in_flight)
 
     base = tally_stream(protocol, cluster, engine.outcomes, engine.handles, probe=probe)
     return OpenLoopResult(
@@ -339,6 +342,9 @@ def run_open_loop(
         window_final=window_box["window"] if adapt is not None else None,
         window_widened=adaptive["widened"],
         window_narrowed=adaptive["narrowed"],
+        atomicity_violations=base.atomicity_violations,
+        decision_conflicts=base.decision_conflicts,
+        illegal_transitions=base.illegal_transitions,
     )
 
 
